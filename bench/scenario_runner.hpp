@@ -16,7 +16,8 @@
 //                  think time — all from deterministic streams — then issues
 //                  one storage operation, retrying ServerBusy (which covers
 //                  the S3 backend's 503 SlowDown subclass) with doubling
-//                  backoff up to 4 attempts.
+//                  backoff up to 4 attempts, and stale partition-map
+//                  redirects at once.
 //
 // Accounting is plain integers plus obs::LatencyHistogram (integer log2
 // buckets), so the whole report — including quantiles — is a pure function
@@ -254,7 +255,7 @@ struct Driver {
     netsim::Nic& nic = nic_for(sess.id);
     MixStat& ms = stat[ei];
     const sim::TimePoint t0 = s.now();
-    for (int attempt = 1;; ++attempt) {
+    for (int attempt = 1;;) {
       bool busy = false;
       try {
         bool miss = false;
@@ -276,6 +277,11 @@ struct Driver {
           throw;  // the engine books the throttle failure
         }
         busy = true;
+      } catch (const cluster::PartitionMovedError&) {
+        // Stale partition-map redirect: the request never executed, the
+        // redirect already paid its front-end round trip and refreshed this
+        // client's map. Retry at once without spending a busy attempt.
+        continue;
       } catch (const cluster::StorageError&) {
         ms.err += 1;  // conflict, precondition, cap, corruption, ...
         co_return;
@@ -288,14 +294,16 @@ struct Driver {
             std::min(sim::millis(250) << (attempt - 1), sim::seconds(1));
         co_await s.delay(backoff +
                          sim::micros(sess.rng.uniform(0, 1'000)));
+        ++attempt;
       }
     }
   }
 
-  /// Pre-populate with ServerBusy and injected faults absorbed by a 1 s
-  /// retry (the populate phase may exceed partition targets or lose
-  /// transfers under an armed fault plan; the run phase must not inherit a
-  /// cold miss storm instead).
+  /// Pre-populate with ServerBusy, stale partition-map redirects and
+  /// injected faults absorbed by a 1 s retry (the populate phase may exceed
+  /// partition targets, race a balancer move or lose transfers under an
+  /// armed fault plan; the run phase must not inherit a cold miss storm
+  /// instead).
   template <class MakeOp>
   sim::Task<void> patient(MakeOp make_op) {
     for (;;) {
@@ -303,6 +311,7 @@ struct Driver {
         co_await make_op();
         co_return;
       } catch (const cluster::ServerBusyError&) {
+      } catch (const cluster::PartitionMovedError&) {
       } catch (const faults::FaultError&) {
       }
       co_await s.delay(sim::seconds(1));

@@ -88,11 +88,24 @@ run_tsan() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L parallel
 }
 
+# A missing clang-tidy fails the run: a gate that silently skips would pass
+# without checking anything. AZUREBENCH_ALLOW_NO_TIDY=1 waives it explicitly
+# (for hosts without clang-tidy) and prints a banner saying so.
 run_tidy() {
   local dir="$1"
   if ! command -v clang-tidy >/dev/null 2>&1; then
-    echo "=== clang-tidy not found on PATH; skipping static analysis ==="
-    return 0
+    if [[ "${AZUREBENCH_ALLOW_NO_TIDY:-0}" == "1" ]]; then
+      echo "################################################################"
+      echo "### SKIPPED: clang-tidy static analysis and its bugprone-*   ###"
+      echo "### hard gate did NOT run (clang-tidy not on PATH;           ###"
+      echo "### waived by AZUREBENCH_ALLOW_NO_TIDY=1).                   ###"
+      echo "################################################################"
+      return 0
+    fi
+    echo "error: clang-tidy not found on PATH; the static-analysis gate" \
+         "cannot run. Install clang-tidy, or set AZUREBENCH_ALLOW_NO_TIDY=1" \
+         "to waive the gate explicitly." >&2
+    return 1
   fi
   echo "=== clang-tidy (${dir}) ==="
   # Checks come from the checked-in .clang-tidy (bugprone-*, performance-*).
@@ -112,18 +125,21 @@ run_tidy() {
   # hold them to a hard bugprone-* gate (warnings fail the build) rather
   # than the advisory repo-wide pass above.
   echo "=== clang-tidy hard gate: src/obs + src/framework + src/cluster" \
-       "+ src/storage ==="
+       "+ src/storage + queue service ==="
   # scenario.cpp carries the DSL parser (hand-rolled recursive descent over
   # raw pointers) and scenario_test.cpp is the TU that instantiates the
   # whole keygen + runner header stack — both join the hard gate. The
   # storage driver layer joins too: every method is a coroutine dispatching
   # across backend state, the precise lifetime territory the gate polices.
+  # So does the queue service: its ops hold deque references and iterators
+  # across suspension points and re-validate them after each one.
   clang-tidy -p "${dir}" --quiet --warnings-as-errors='bugprone-*' \
     src/obs/observer.cpp src/framework/load_engine.cpp \
     src/framework/scenario.cpp src/cluster/geo_replication.cpp \
     src/storage/driver.cpp src/storage/azure_driver.cpp \
     src/storage/s3_object_service.cpp src/storage/s3_driver.cpp \
     src/storage/tiered_driver.cpp \
+    src/azure/queue/queue_service.cpp \
     tests/scenario_test.cpp
 }
 

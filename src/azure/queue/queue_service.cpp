@@ -46,6 +46,9 @@ void QueueService::admit(QueueData& q, std::string name) {
 
 void QueueService::expire(QueueData& q) {
   const sim::TimePoint now = cluster_.simulation().now();
+  // Nothing can have lapsed while the earliest expiry is still ahead, so
+  // the common case costs one compare instead of a sweep of the deque.
+  if (q.min_expiry >= now) return;
   // A message's TTL is a guaranteed lifetime: Azure computes ExpirationTime
   // = insertion + TTL and the message stays retrievable *through* that
   // instant — only strictly-later probes sweep it. `<= now` here would
@@ -53,32 +56,53 @@ void QueueService::expire(QueueData& q) {
   std::erase_if(q.messages, [now](const StoredMessage& m) {
     return m.expiration_time < now;
   });
+  q.min_expiry = std::numeric_limits<sim::TimePoint>::max();
+  for (const StoredMessage& m : q.messages) {
+    q.min_expiry = std::min(q.min_expiry, m.expiration_time);
+  }
 }
 
-std::size_t QueueService::pick_visible(QueueData& q) {
+std::size_t QueueService::next_visible(const QueueData& q,
+                                       std::size_t from) const {
   const sim::TimePoint now = cluster_.simulation().now();
   // `visible_from <= now` is the correct boundary: visible_from models
   // Azure's TimeNextVisible — the instant the message *becomes* visible —
   // so a consumer probing exactly then must see it (audited alongside the
-  // expiry boundary above; tests lock both edges in).
-  std::size_t first = q.messages.size();
-  std::size_t second = q.messages.size();
-  for (std::size_t i = 0; i < q.messages.size(); ++i) {
-    if (q.messages[i].visible_from <= now) {
-      if (first == q.messages.size()) {
-        first = i;
-      } else {
-        second = i;
-        break;
-      }
-    }
+  // expiry boundary above; tests lock both edges in). The scan passes only
+  // the hidden leases ahead of the match, not the whole queue.
+  for (std::size_t i = from; i < q.messages.size(); ++i) {
+    if (q.messages[i].visible_from <= now) return i;
   }
+  return q.messages.size();
+}
+
+std::size_t QueueService::pick_visible(QueueData& q) {
+  const std::size_t first = next_visible(q, 0);
   if (first == q.messages.size()) return first;
+  const std::size_t second = next_visible(q, first + 1);
   if (second != q.messages.size() &&
       rng_.next_double() < cfg_.fifo_violation_probability) {
     return second;  // FIFO is not guaranteed
   }
   return first;
+}
+
+std::deque<QueueService::StoredMessage>::iterator
+QueueService::leased_message(QueueData& q, const std::string& name,
+                             std::uint64_t id,
+                             const std::string& pop_receipt) {
+  // The deque is sorted by id (see QueueData::messages).
+  auto it = std::lower_bound(
+      q.messages.begin(), q.messages.end(), id,
+      [](const StoredMessage& m, std::uint64_t v) { return m.id < v; });
+  if (it == q.messages.end() || it->id != id) {
+    throw NotFoundError("message not found in queue: " + name);
+  }
+  if ("pr-" + std::to_string(it->receipt_serial) != pop_receipt) {
+    throw PreconditionFailedError(
+        "pop receipt no longer valid (message was re-gotten)");
+  }
+  return it;
 }
 
 sim::Task<void> QueueService::metadata_op(netsim::Nic& client,
@@ -179,6 +203,7 @@ sim::Task<void> QueueService::put_message(netsim::Nic& client,
   m.insertion_time = now;
   m.expiration_time = now + effective_ttl;
   m.visible_from = now;
+  q.min_expiry = std::min(q.min_expiry, m.expiration_time);
   q.messages.push_back(std::move(m));
 }
 
@@ -195,14 +220,9 @@ sim::Task<std::optional<QueueMessage>> QueueService::get_message(
   // claim happens atomically after all awaits, so concurrent consumers can
   // never receive the same message.
   expire(q);
-  const sim::TimePoint probe_now = cluster_.simulation().now();
-  const StoredMessage* estimate = nullptr;
-  for (const StoredMessage& m : q.messages) {
-    if (m.visible_from <= probe_now) {
-      estimate = &m;
-      break;
-    }
-  }
+  const std::size_t head = next_visible(q, 0);
+  const StoredMessage* estimate =
+      head < q.messages.size() ? &q.messages[head] : nullptr;
   const bool probably_found = estimate != nullptr;
   const std::int64_t wire =
       probably_found ? encoded_size(estimate->body.size()) : 256;
@@ -285,14 +305,10 @@ sim::Task<std::optional<QueueMessage>> QueueService::peek_message(
   admit(q, name);
 
   expire(q);
-  const sim::TimePoint probe_now = cluster_.simulation().now();
-  std::int64_t wire = 256;
-  for (const StoredMessage& m : q.messages) {
-    if (m.visible_from <= probe_now) {
-      wire = encoded_size(m.body.size());
-      break;
-    }
-  }
+  const std::size_t head = next_visible(q, 0);
+  const std::int64_t wire = head < q.messages.size()
+                                ? encoded_size(q.messages[head].body.size())
+                                : 256;
 
   cluster::RequestCost cost;
   cost.request_bytes = 256;
@@ -353,16 +369,7 @@ sim::Task<void> QueueService::delete_message(netsim::Nic& client,
     }
   }
 
-  auto it = std::find_if(q.messages.begin(), q.messages.end(),
-                         [id](const StoredMessage& m) { return m.id == id; });
-  if (it == q.messages.end()) {
-    throw NotFoundError("message not found in queue: " + name);
-  }
-  if ("pr-" + std::to_string(it->receipt_serial) != pop_receipt) {
-    throw PreconditionFailedError(
-        "pop receipt no longer valid (message was re-gotten)");
-  }
-  q.messages.erase(it);
+  q.messages.erase(leased_message(q, name, id, pop_receipt));
 }
 
 sim::Task<QueueMessage> QueueService::update_message(
@@ -401,15 +408,7 @@ sim::Task<QueueMessage> QueueService::update_message(
     }
   }
 
-  auto it = std::find_if(q.messages.begin(), q.messages.end(),
-                         [id](const StoredMessage& m) { return m.id == id; });
-  if (it == q.messages.end()) {
-    throw NotFoundError("message not found in queue: " + name);
-  }
-  if ("pr-" + std::to_string(it->receipt_serial) != pop_receipt) {
-    throw PreconditionFailedError(
-        "pop receipt no longer valid (message was re-gotten)");
-  }
+  const auto it = leased_message(q, name, id, pop_receipt);
   it->visible_from = cluster_.simulation().now() + visibility_timeout;
   if (new_body) it->body = std::move(*new_body);
   it->receipt_serial = next_receipt_++;

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -154,7 +155,13 @@ class QueueService {
   struct QueueData {
     explicit QueueData(sim::Simulation& sim)
         : throttle(sim, limits::kQueueMessagesPerSec), commit_lock(sim, 1) {}
+    /// Sorted by id: ids come from the service-wide `next_id_++` and
+    /// put_message only ever appends.
     std::deque<StoredMessage> messages;
+    /// Lower bound on the earliest expiration_time in `messages` (never
+    /// above it). put_message lowers it; expire() skips its sweep while
+    /// nothing can have lapsed and resets it to the exact minimum after one.
+    sim::TimePoint min_expiry = std::numeric_limits<sim::TimePoint>::max();
     sim::WindowCounter throttle;
     sim::Resource commit_lock;  // serialized message-log appends
     /// Count of acknowledged mutations — versions the queue's integrity
@@ -169,9 +176,17 @@ class QueueService {
   }
   void admit(QueueData& q, std::string name);
   void expire(QueueData& q);
+  /// Index of the first visible message at or after `from`, or
+  /// messages.size() when there is none.
+  std::size_t next_visible(const QueueData& q, std::size_t from) const;
   /// Index of the visible message a consumer sees first (with the FIFO
-  /// scramble), or npos.
+  /// scramble), or messages.size() when there is none.
   std::size_t pick_visible(QueueData& q);
+  /// The message `id` holding `pop_receipt`; throws NotFoundError when the
+  /// message is gone and PreconditionFailedError when the receipt is stale.
+  std::deque<StoredMessage>::iterator leased_message(
+      QueueData& q, const std::string& name, std::uint64_t id,
+      const std::string& pop_receipt);
 
   sim::Task<void> metadata_op(netsim::Nic& client, std::uint64_t part_hash,
                               bool write);
