@@ -50,6 +50,7 @@ azurebench::TableBenchConfig table_cfg(cluster::ThrottleMode mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--csv"});
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   benchutil::Table table({"ablation", "variant", "metric", "value"});
 

@@ -23,6 +23,7 @@ std::string money(double usd) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--csv"});
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   benchutil::Table table({"experiment", "workers", "virtual_time_s",
                           "transactions", "compute", "transactions_cost",

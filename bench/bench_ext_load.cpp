@@ -203,6 +203,9 @@ void print_json(const std::vector<std::vector<std::string>>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--smoke", "--csv", "--json",
+                                 "--selfcheck", "--seed=", "--rate_scale=",
+                                 "--population="});
   const bool smoke = benchutil::flag_set(argc, argv, "--smoke");
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   const bool json = benchutil::flag_set(argc, argv, "--json");

@@ -108,6 +108,8 @@ RunResult run(int workers, int ops_per_worker, int hot_percent,
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--smoke", "--csv", "--workers=",
+                                 "--ops=", "--hot="});
   const bool smoke = benchutil::flag_set(argc, argv, "--smoke");
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   const int workers = smoke ? 16 : static_cast<int>(benchutil::flag_int(

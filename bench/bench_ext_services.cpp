@@ -42,6 +42,7 @@ double measure_ms(World& w, Op op) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--csv"});
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   benchutil::Table table({"experiment", "variant", "value"});
 

@@ -69,6 +69,7 @@ double measure_ms(World& w, Op op, int repeats) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--csv"});
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   World w;
   w.sim.spawn(seed(w));

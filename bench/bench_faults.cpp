@@ -167,6 +167,8 @@ Point run_profile(const FaultProfile& p, int workers, int messages,
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--quick", "--workers=",
+                                 "--messages=", "--seed=", "--csv"});
   const bool quick = benchutil::flag_set(argc, argv, "--quick");
   const int workers = static_cast<int>(
       benchutil::flag_int(argc, argv, "--workers", quick ? 8 : 32, 1));

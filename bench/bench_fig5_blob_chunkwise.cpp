@@ -14,6 +14,9 @@
 #include "obs/observer.hpp"
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--workers=", "--repeats=",
+                                 "--quick", "--csv", "--obs", "--obs-json=",
+                                 "--trace"});
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   const benchutil::ObsFlags obs_flags = benchutil::obs_flags(argc, argv);
   obs::Observer observer;

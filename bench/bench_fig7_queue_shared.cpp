@@ -15,6 +15,9 @@
 #include "obs/observer.hpp"
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--workers=", "--messages=",
+                                 "--quick", "--csv", "--obs", "--obs-json=",
+                                 "--trace"});
   auto sweep = benchutil::worker_sweep(argc, argv);
   // A single worker cycling 20,000 messages with 1-5 s think times spans
   // >10 virtual days — past the 7-day message TTL that Algorithm 2's

@@ -7,46 +7,19 @@
 // shared with the declarative scenario driver (bench_scenario.cpp).
 //
 // Flags: --workers=N, --entities=N, --quick, --csv, --obs, --obs-json=FILE.
-//
-// Sharded parallel path: --domains=N switches to the domain-sharded driver
-// (core/sharded_world.hpp) — the table workload decomposed into N stamp
-// shards on the parallel DES kernel, with --threads=N worker threads,
-// --ops=N inserts per worker, and --chaos arming faults + the fleet crash
-// schedule. The printed table is byte-identical across thread counts.
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/sharded_world.hpp"
 #include "fig_workloads.hpp"
 #include "obs/observer.hpp"
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--workers=", "--entities=",
+                                 "--quick", "--csv", "--obs", "--obs-json=",
+                                 "--trace"});
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   const benchutil::ObsFlags obs_flags = benchutil::obs_flags(argc, argv);
   obs::Observer observer;
-
-  const int domains = static_cast<int>(
-      benchutil::flag_int(argc, argv, "--domains", 0, 0, 1'024));
-  if (domains > 0) {
-    azurebench::ShardedCloudConfig cfg;
-    cfg.mode = azurebench::ShardedCloudConfig::Mode::kTable;
-    cfg.domains = domains;
-    cfg.threads = static_cast<int>(
-        benchutil::flag_int(argc, argv, "--threads", 0, 0, 1'024));
-    cfg.total_servers =
-        static_cast<int>(benchutil::flag_int(argc, argv, "--servers", 64, 1));
-    cfg.total_workers =
-        static_cast<int>(benchutil::flag_int(argc, argv, "--workers", 96, 1));
-    cfg.ops_per_worker = benchutil::flag_int(argc, argv, "--ops", 20, 1);
-    cfg.chaos = benchutil::flag_set(argc, argv, "--chaos");
-    const auto r = azurebench::run_sharded_cloud(cfg);
-    std::printf(
-        "AzureBench Fig. 8 (sharded) — table workload, %d domains x %d "
-        "threads%s\n\n%s\nwall_s=%.3f\n",
-        cfg.domains, cfg.threads > 0 ? cfg.threads : cfg.domains,
-        cfg.chaos ? " [chaos]" : "", r.figure_table.c_str(), r.wall_seconds);
-    return 0;
-  }
 
   benchfig::Fig8Options opt;
   opt.workers = benchutil::worker_sweep(argc, argv);

@@ -17,6 +17,8 @@
 #include "obs/observer.hpp"
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--workers=", "--quick", "--csv",
+                                 "--obs", "--obs-json=", "--trace"});
   const bool quick = benchutil::flag_set(argc, argv, "--quick");
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   const benchutil::ObsFlags obs_flags = benchutil::obs_flags(argc, argv);

@@ -13,8 +13,6 @@
 #include "simcore/sync.hpp"
 #include "simcore/task.hpp"
 
-#include "core/sharded_world.hpp"
-
 namespace {
 
 void BM_EventDispatch(benchmark::State& state) {
@@ -131,62 +129,6 @@ void BM_GateBroadcast(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * waiters);
 }
 BENCHMARK(BM_GateBroadcast)->Arg(1'000);
-
-// ----------------------------------------------------- parallel kernel ----
-// Wall-clock scaling of the sharded DES kernel on the paper's 64-server ×
-// 96-worker scenario (chaos variant: link faults + fleet crash schedule).
-// The decomposition is fixed at 8 domains for the thread sweep, so every
-// configuration executes the byte-identical event sequence and only the
-// worker-thread count varies; the domain sweep additionally measures the
-// decomposition's own cost at threads == domains. UseRealTime because the
-// work happens on kernel worker threads, not the benchmark thread.
-
-azurebench::ShardedCloudConfig sharded_chaos_scenario() {
-  azurebench::ShardedCloudConfig cfg;
-  cfg.domains = 8;
-  cfg.total_servers = 64;
-  cfg.total_workers = 96;
-  cfg.ops_per_worker = 20;
-  cfg.chaos = true;
-  return cfg;
-}
-
-void BM_ShardedCloudDomains(benchmark::State& state) {
-  azurebench::ShardedCloudConfig cfg = sharded_chaos_scenario();
-  cfg.domains = static_cast<int>(state.range(0));
-  cfg.threads = cfg.domains;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const auto r = azurebench::run_sharded_cloud(cfg);
-    events = r.events_executed;
-    benchmark::DoNotOptimize(r.final_time);
-  }
-  state.counters["events"] = static_cast<double>(events);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ShardedCloudDomains)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_ShardedCloudThreads(benchmark::State& state) {
-  azurebench::ShardedCloudConfig cfg = sharded_chaos_scenario();
-  cfg.threads = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const auto r = azurebench::run_sharded_cloud(cfg);
-    events = r.events_executed;
-    benchmark::DoNotOptimize(r.final_time);
-  }
-  state.counters["events"] = static_cast<double>(events);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ShardedCloudThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 

@@ -139,6 +139,11 @@ RunOutput run_once(const framework::Scenario& sc, bool want_obs) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(
+      argc, argv,
+      {"--spec=", "--smoke", "--backend=", "--csv", "--selfcheck", "--obs",
+       "--obs-json=", "--trace"},
+      {"--spec"});
   const bool smoke = benchutil::flag_set(argc, argv, "--smoke");
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   const bool selfcheck = benchutil::flag_set(argc, argv, "--selfcheck");

@@ -6,6 +6,7 @@
 #include "fabric/vm_size.hpp"
 
 int main(int argc, char** argv) {
+  benchutil::require_known_flags(argc, argv, {"--csv"});
   const bool csv = benchutil::flag_set(argc, argv, "--csv");
   std::printf("AzureBench Table I — VM configurations\n\n");
   benchutil::Table table(

@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -22,6 +24,8 @@
 namespace benchutil {
 
 // Flag conventions, shared by every bench binary:
+//  * every main declares its flags with require_known_flags; any other
+//    argv token is a usage error (exit code 2);
 //  * value flags are `--name=value`; boolean flags are bare `--name`;
 //  * when a flag is passed more than once, the FIRST occurrence wins (a
 //    scripted baseline prepended to a saved command line overrides it);
@@ -33,6 +37,52 @@ namespace benchutil {
 // The parsers themselves (UsageError, parse_int, parse_double, ...) live in
 // strict_parse.hpp so tests and examples can reuse them without pulling in
 // the simulator headers this file needs for the observability exporters.
+
+/// Returns the first argv token that is not a declared flag, or nullopt
+/// when all are. A declared "--name" is a bare switch and matches only `--name`; a
+/// declared "--name=" takes a value and matches only `--name=VALUE`. A name
+/// in `takes_next` may also take its value as the following token
+/// (`--spec FILE`).
+inline std::optional<std::string> unknown_flag(
+    int argc, char** argv, std::initializer_list<std::string_view> known,
+    std::initializer_list<std::string_view> takes_next = {}) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    const bool declared =
+        std::any_of(known.begin(), known.end(), [arg](std::string_view k) {
+          return k.ends_with('=') ? arg.starts_with(k) : arg == k;
+        });
+    if (declared) continue;
+    if (i + 1 < argc && std::find(takes_next.begin(), takes_next.end(),
+                                  arg) != takes_next.end()) {
+      ++i;
+      continue;
+    }
+    return std::string(arg);
+  }
+  return std::nullopt;
+}
+
+/// Exits 2, naming the token, when argv holds anything but the declared
+/// flags (see unknown_flag). Every bench main calls it first: the lookups
+/// below search argv by name, so a misspelt or removed flag would otherwise
+/// be ignored and the binary would run its default configuration.
+inline void require_known_flags(
+    int argc, char** argv, std::initializer_list<std::string_view> known,
+    std::initializer_list<std::string_view> takes_next = {}) {
+  const std::optional<std::string> bad =
+      unknown_flag(argc, argv, known, takes_next);
+  if (!bad) return;
+  std::string accepted;
+  for (const std::string_view k : known) {
+    accepted += ' ';
+    accepted += k;
+    if (k.ends_with('=')) accepted += "VALUE";
+  }
+  std::fprintf(stderr, "usage error: unknown flag '%s'; accepted:%s\n",
+               bad->c_str(), accepted.c_str());
+  std::exit(2);
+}
 
 /// Returns the value of `--name=value` (first occurrence wins), or
 /// `fallback` when the flag is absent. Explicitly-passed values must parse

@@ -124,9 +124,7 @@ class StorageCluster {
   /// Crashes server `s` now: marks it down, records the fault, and
   /// proactively reassigns its buckets across the healthy servers so most
   /// requests during the downtime pay only a stale-map redirect. Shared by
-  /// the plan-driven crash driver and external chaos controllers (the
-  /// sharded kernel delivers fleet-wide crash schedules as cross-domain
-  /// events, see core/sharded_world.cpp).
+  /// the plan-driven crash driver and external chaos controllers.
   void crash_server(int s) {
     PartitionServer& victim = server(s);
     victim.crash();

@@ -75,7 +75,7 @@ struct LoadEngineConfig {
 
 /// Deterministic outcome counters. Everything is a pure function of
 /// (engine config, session body, world seed); byte-comparable across
-/// replays and thread counts (see the sharded open-loop parity tests).
+/// replays.
 struct LoadStats {
   std::int64_t offered = 0;        ///< arrivals presented to the engine
   std::int64_t admitted = 0;       ///< sessions that got a window slot

@@ -157,65 +157,4 @@ std::string Observer::to_json() const {
   return out;
 }
 
-std::string merged_to_json(const std::vector<const Observer*>& domains) {
-  // Merge counters/gauges by name, preserving first-appearance order so the
-  // rendering order is a deterministic function of the decomposition (not
-  // of any hash or sort of runtime values).
-  std::vector<std::pair<std::string, std::int64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
-  std::map<std::string, std::size_t, std::less<>> counter_index;
-  std::map<std::string, std::size_t, std::less<>> gauge_index;
-  const auto accumulate =
-      [](std::vector<std::pair<std::string, std::int64_t>>& out,
-         std::map<std::string, std::size_t, std::less<>>& index,
-         const std::string& name, std::int64_t v) {
-        if (auto it = index.find(name); it != index.end()) {
-          out[it->second].second += v;
-          return;
-        }
-        index.emplace(name, out.size());
-        out.emplace_back(name, v);
-      };
-  for (const Observer* o : domains) {
-    o->metrics().for_each_counter(
-        [&](const std::string& name, const Counter& c) {
-          accumulate(counters, counter_index, name, c.value());
-        });
-    o->metrics().for_each_gauge([&](const std::string& name, const Gauge& g) {
-      accumulate(gauges, gauge_index, name, g.value());
-    });
-  }
-
-  std::string out;
-  out += "{\"domains\":";
-  append_int(out, static_cast<std::int64_t>(domains.size()));
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    if (!first) out += ',';
-    first = false;
-    append_escaped(out, name);
-    out += ':';
-    append_int(out, v);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    if (!first) out += ',';
-    first = false;
-    append_escaped(out, name);
-    out += ':';
-    append_int(out, v);
-  }
-  out += "},\"per_domain\":[";
-  first = true;
-  for (const Observer* o : domains) {
-    if (!first) out += ',';
-    first = false;
-    out += o->to_json();
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace obs

@@ -183,15 +183,6 @@ class Observer {
   TraceContext ambient_{};
 };
 
-/// Deterministic export of a sharded run: one Observer per domain, merged
-/// at export time. Counters and gauges are summed by name in
-/// first-appearance order (domain order, then registration order within a
-/// domain — both replay-deterministic); per-domain detail follows as an
-/// array of full to_json() documents in domain-id order. The merge is a
-/// pure function of the per-domain observers, so parallel and sequential
-/// executions of the same decomposition render byte-identical JSON.
-std::string merged_to_json(const std::vector<const Observer*>& domains);
-
 /// RAII scope for one service-layer operation (one attempt): begins a
 /// kServiceOp span under the ambient context (claimed synchronously on
 /// operation entry) and emits on scope exit — including exceptional

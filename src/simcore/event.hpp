@@ -235,7 +235,7 @@ class EventQueue {
         static_cast<std::uint32_t>(chunks_.size() << kChunkShift);
     // Default- (not value-) initialize: Event's default constructor already
     // establishes the empty state, no memset of the chunk needed.
-    chunks_.push_back(std::unique_ptr<Event[]>(new Event[kChunkSize]));
+    chunks_.push_back(std::make_unique_for_overwrite<Event[]>(kChunkSize));
     free_.reserve(std::size_t{chunks_.size()} << kChunkShift);
     // Lower slot indices pop first (back of the free list) for locality.
     for (std::uint32_t i = kChunkSize; i-- > 0;) free_.push_back(base + i);

@@ -8,15 +8,9 @@
 // the same coroutine; bucketing by 64-byte size class turns steady-state
 // frame allocation into a pointer pop.
 //
-// Ownership model: every thread has an implicit default Arena (thread-local,
-// created on first use), and the parallel kernel binds an explicit per-domain
-// Arena for the extent of each execution round via FramePool::Scope. A block
-// freed while a domain's arena is bound goes back to that domain's free list
-// only — free lists are never shared across threads, so domain workers can
-// allocate/recycle frames concurrently without synchronization, and a block
-// cached by one domain can never be handed out by another (see
-// parallel_test.cpp's aliasing regression). Each bucket is capped so a
-// one-off burst of frames cannot pin memory forever.
+// The free lists are thread-local (created on first use, released at thread
+// exit), so they need no synchronization. Each bucket is capped so a one-off
+// burst of frames cannot pin memory forever.
 #pragma once
 
 #include <cstddef>
@@ -31,48 +25,10 @@ class FramePool {
   static constexpr std::size_t kBuckets = 32;          // frames up to 2 KiB
   static constexpr std::size_t kMaxBlocksPerBucket = 4096;
 
-  /// One independent set of free lists. Not thread-safe: an Arena must only
-  /// be used by one thread at a time (the parallel kernel guarantees this by
-  /// binding each domain's arena only inside that domain's execution round).
-  class Arena {
-   public:
-    Arena() = default;
-    Arena(const Arena&) = delete;
-    Arena& operator=(const Arena&) = delete;
-    ~Arena() {
-      for (auto& list : bucket_) {
-        for (void* p : list) ::operator delete(p);
-      }
-    }
-
-    /// Blocks currently cached for allocations of `n` bytes (test hook).
-    std::size_t cached(std::size_t n) const noexcept {
-      const std::size_t b = bucket(n);
-      return b < kBuckets ? bucket_[b].size() : 0;
-    }
-
-   private:
-    friend class FramePool;
-    std::vector<void*> bucket_[kBuckets];
-  };
-
-  /// RAII binding of `arena` as the calling thread's frame source. Nests:
-  /// the previous binding (possibly the thread default) is restored on exit.
-  class Scope {
-   public:
-    explicit Scope(Arena& arena) noexcept : prev_(bound_) { bound_ = &arena; }
-    ~Scope() noexcept { bound_ = prev_; }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    Arena* prev_;
-  };
-
   static void* allocate(std::size_t n) {
     const std::size_t b = bucket(n);
     if (b >= kBuckets) return ::operator new(n);
-    auto& list = current().bucket_[b];
+    auto& list = lists().bucket[b];
     if (!list.empty()) {
       void* p = list.back();
       list.pop_back();
@@ -84,7 +40,7 @@ class FramePool {
   static void deallocate(void* p, std::size_t n) noexcept {
     const std::size_t b = bucket(n);
     if (b < kBuckets) {
-      auto& list = current().bucket_[b];
+      auto& list = lists().bucket[b];
       if (list.size() < kMaxBlocksPerBucket) {
         try {
           list.push_back(p);
@@ -97,7 +53,23 @@ class FramePool {
     ::operator delete(p);
   }
 
+  /// Blocks the calling thread caches for allocations of `n` bytes (test
+  /// hook).
+  static std::size_t cached(std::size_t n) noexcept {
+    const std::size_t b = bucket(n);
+    return b < kBuckets ? lists().bucket[b].size() : 0;
+  }
+
  private:
+  struct FreeLists {
+    ~FreeLists() {
+      for (auto& list : bucket) {
+        for (void* p : list) ::operator delete(p);
+      }
+    }
+    std::vector<void*> bucket[kBuckets];
+  };
+
   static constexpr std::size_t bucket(std::size_t n) noexcept {
     return (n - 1) >> kGranularityShift;  // frame sizes are never zero
   }
@@ -105,13 +77,10 @@ class FramePool {
     return (b + 1) << kGranularityShift;
   }
 
-  static Arena& current() {
-    if (bound_ != nullptr) return *bound_;
-    static thread_local Arena tls_default;
-    return tls_default;
+  static FreeLists& lists() {
+    static thread_local FreeLists tls;
+    return tls;
   }
-
-  inline static thread_local Arena* bound_ = nullptr;
 };
 
 }  // namespace sim::detail

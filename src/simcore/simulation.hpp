@@ -16,7 +16,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -104,27 +103,6 @@ class ProcessHandle {
 /// world is expressed with coroutine processes, not host threads.
 class Simulation {
  public:
-  /// Execution options for the sharded parallel kernel (see
-  /// simcore/parallel.hpp). `domains == 1` — the default — is the plain
-  /// sequential engine; nothing in this class changes behaviour based on
-  /// these options, they are consumed by sim::par::ShardedSimulation.
-  struct Options {
-    /// Number of logical event-queue shards. Outputs are a function of the
-    /// domain decomposition only, never of `threads`.
-    int domains = 1;
-    /// Worker threads driving the domains (0 = one per domain). `threads=1`
-    /// executes the identical sharded algorithm sequentially and is the
-    /// parity reference for any `threads>1` run.
-    int threads = 0;
-    /// Conservative lookahead: the minimum virtual-time distance of any
-    /// cross-domain send, derived from the minimum inter-domain link
-    /// latency (netsim::min_link_latency). Must be > 0 when domains > 1.
-    Duration lookahead = 0;
-  };
-
-  /// Sentinel "no pending event" timestamp.
-  static constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
-
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -192,34 +170,6 @@ class Simulation {
 
   /// Executes a single event. Returns false if the queue was empty.
   bool step();
-
-  /// Timestamp of the earliest pending event, or kNever when the queue is
-  /// empty. The parallel kernel derives each domain's earliest-output-time
-  /// bound from this.
-  TimePoint next_event_time() const noexcept {
-    return queue_.empty() ? kNever : queue_.min_time();
-  }
-
-  /// Moves the clock forward to `t` without executing anything — used by the
-  /// parallel kernel to deliver a cross-domain event at its stamped time
-  /// when no local event precedes it. No-op if `t <= now()`.
-  void advance_to(TimePoint t) noexcept {
-    assert(t >= now_ && "cannot advance into the past");
-    if (t > now_) now_ = t;
-  }
-
-  /// Counts an externally delivered (cross-domain) event against
-  /// events_executed(), keeping the statistic decomposition-independent.
-  void note_external_event() noexcept { ++events_executed_; }
-
-  /// True when a root process failed and run() has not yet rethrown.
-  bool failed() const noexcept { return first_error_ != nullptr; }
-
-  /// Claims the pending process failure (null if none). The parallel kernel
-  /// checks this after every step so a shard error aborts the whole run.
-  std::exception_ptr take_error() noexcept {
-    return std::exchange(first_error_, nullptr);
-  }
 
   /// Number of events executed so far (for kernel microbenchmarks).
   std::uint64_t events_executed() const noexcept { return events_executed_; }

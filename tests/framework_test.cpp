@@ -29,7 +29,7 @@ TEST(BagOfTasksTest, TasksFlowFromWebRoleToWorkers) {
   });
 
   // Web role: submit 12 tasks, then wait for completion.
-  w.sim.spawn([](TestWorld& t, BagOfTasksApp& a) -> Task<> {
+  w.sim.spawn([](TestWorld&, BagOfTasksApp& a) -> Task<> {
     for (int i = 0; i < 12; ++i) {
       co_await a.submit("work-" + std::to_string(i));
     }

@@ -203,10 +203,10 @@ TEST(IntegrityTableTest, QueriedEntitiesVerifyEndToEnd) {
       co_await azure::with_retry(t.sim, [&] { return tbl.insert(e); }, retry);
     }
     for (int i = 0; i < kRows; ++i) {
-      auto row = co_await azure::with_retry(t.sim, [&] {
-        return tbl.query("p" + std::to_string(i % 3),
-                         "r" + std::to_string(i));
-      }, retry);
+      const std::string pk = "p" + std::to_string(i % 3);
+      const std::string rk = "r" + std::to_string(i);
+      auto row = co_await azure::with_retry(
+          t.sim, [&] { return tbl.query(pk, rk); }, retry);
       if (std::get<Payload>(row.properties.at("v")).data() !=
           pattern_body(i, 300)) {
         ++mismatches;

@@ -39,7 +39,7 @@ std::string pattern_data(std::int64_t size) {
 TEST_P(BlobRoundtrip, SingleShotPreservesBytes) {
   const std::int64_t size = GetParam();
   TestWorld w;
-  azb_test::run(w, [](TestWorld& t) -> Task<> { co_return; });
+  azb_test::run(w, [](TestWorld&) -> Task<> { co_return; });
   w.sim.spawn([](TestWorld& t, std::int64_t n) -> Task<> {
     auto c = t.account.create_cloud_blob_client().get_container_reference("c");
     co_await c.create_if_not_exists();

@@ -778,7 +778,7 @@ Task<> differential_client(TestWorld& t, std::uint64_t seed, int ops,
       case DiffOp::kUpdate: {
         // Mostly a lease handed out earlier (its receipt may be stale by
         // now); sometimes a random id with a receipt no message holds.
-        Lease l{q, rng.uniform(1, 400), "pr-0"};
+        Lease l{q, static_cast<std::uint64_t>(rng.uniform(1, 400)), "pr-0"};
         if (!leases.empty() && rng.bernoulli(0.9)) {
           l = leases[static_cast<std::size_t>(
               rng.uniform(0, static_cast<std::int64_t>(leases.size()) - 1))];

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,9 @@ void expect_error(const std::string& text, const std::string& path,
   } catch (const ScenarioError& e) {
     EXPECT_EQ(e.path(), path) << e.what();
     EXPECT_NE(e.reason().find(needle), std::string::npos) << e.what();
-    if (line >= 0) EXPECT_EQ(e.line(), line) << e.what();
+    if (line >= 0) {
+      EXPECT_EQ(e.line(), line) << e.what();
+    }
   }
 }
 
@@ -486,6 +489,38 @@ TEST(FlagParsingDeathTest, WorkerSweepRejectsNonPositiveWorkers) {
   char** argv = make_argv(args);
   EXPECT_EXIT((void)benchutil::worker_sweep(2, argv),
               ::testing::ExitedWithCode(2), "usage error: --workers=0");
+}
+
+TEST(FlagParsing, UnknownFlagNamesTheFirstUndeclaredToken) {
+  // Pre-fix, flags were looked up by prefix and anything else was ignored:
+  // `--worker=2` ran the full sweep, `--sefcheck` skipped the replay check.
+  const auto first_unknown = [](std::vector<std::string> args) {
+    return benchutil::unknown_flag(static_cast<int>(args.size()),
+                                   make_argv(args), {"--workers=", "--quick"},
+                                   {"--spec"});
+  };
+  EXPECT_EQ(first_unknown({"prog"}), std::nullopt);
+  EXPECT_EQ(first_unknown({"prog", "--workers=4", "--quick"}), std::nullopt);
+  EXPECT_EQ(first_unknown({"prog", "--spec", "f.json", "--quick"}),
+            std::nullopt);
+  EXPECT_EQ(first_unknown({"prog", ""}), "");
+  EXPECT_EQ(first_unknown({"prog", "--worker=2"}), "--worker=2");
+  EXPECT_EQ(first_unknown({"prog", "--workers"}), "--workers");
+  EXPECT_EQ(first_unknown({"prog", "--workers", "4"}), "--workers");
+  EXPECT_EQ(first_unknown({"prog", "--quick=1"}), "--quick=1");
+  EXPECT_EQ(first_unknown({"prog", "--quickly"}), "--quickly");
+  EXPECT_EQ(first_unknown({"prog", "--quick", "stray"}), "stray");
+  EXPECT_EQ(first_unknown({"prog", "--spec"}), "--spec");
+  EXPECT_EQ(first_unknown({"prog", "--domains=8", "--sefcheck"}),
+            "--domains=8");
+}
+
+TEST(FlagParsingDeathTest, RequireKnownFlagsExitsTwoNamingTheFlag) {
+  std::vector<std::string> args = {"prog", "--quick", "--domains=8"};
+  char** argv = make_argv(args);
+  EXPECT_EXIT(
+      benchutil::require_known_flags(3, argv, {"--workers=", "--quick"}),
+      ::testing::ExitedWithCode(2), "unknown flag '--domains=8'");
 }
 
 using benchutil::DoubleParse;

@@ -225,7 +225,9 @@ TEST(SchedulerHeapTest, RandomTimestampsExecuteInNondecreasingOrder) {
     const auto& [t_cur, id_cur] = seen[static_cast<size_t>(i)];
     EXPECT_LE(t_prev, t_cur);
     // Same-timestamp events must pop in scheduling (FIFO) order.
-    if (t_prev == t_cur) EXPECT_LT(id_prev, id_cur);
+    if (t_prev == t_cur) {
+      EXPECT_LT(id_prev, id_cur);
+    }
   }
 }
 
@@ -237,6 +239,57 @@ TEST(SchedulerHeapTest, ReserveDoesNotDisturbExecution) {
   s.run();
   EXPECT_EQ(fired, 2000);
   EXPECT_EQ(s.events_executed(), 2000u);
+}
+
+// ----------------------------------------------------------- frame pool ----
+
+using sim::detail::FramePool;
+
+TEST(FramePoolTest, FreedBlockIsReusedByTheNextAllocationOfItsClass) {
+  // 100 and 120 bytes share the 65..128-byte class; 130 bytes does not.
+  void* p = FramePool::allocate(100);
+  const std::size_t before = FramePool::cached(100);
+  FramePool::deallocate(p, 100);
+  EXPECT_EQ(FramePool::cached(120), before + 1);
+  void* other = FramePool::allocate(130);
+  EXPECT_NE(other, p);
+  void* q = FramePool::allocate(120);
+  EXPECT_EQ(q, p);
+  EXPECT_EQ(FramePool::cached(100), before);
+  FramePool::deallocate(q, 120);
+  FramePool::deallocate(other, 130);
+}
+
+TEST(FramePoolTest, BucketStopsCachingAtTheCap) {
+  constexpr std::size_t kBytes = 1000;
+  std::vector<void*> blocks(FramePool::kMaxBlocksPerBucket + 8);
+  for (void*& b : blocks) b = FramePool::allocate(kBytes);
+  EXPECT_EQ(FramePool::cached(kBytes), 0u);
+  for (void* b : blocks) FramePool::deallocate(b, kBytes);
+  EXPECT_EQ(FramePool::cached(kBytes), FramePool::kMaxBlocksPerBucket);
+}
+
+TEST(FramePoolTest, AllocationsOver2KiBBypassThePool) {
+  constexpr std::size_t kLargest = FramePool::kBuckets
+                                   << FramePool::kGranularityShift;
+  static_assert(kLargest == 2048);
+  const auto snapshot = [] {
+    std::vector<std::size_t> counts;
+    for (std::size_t n = 64; n <= kLargest; n += 64) {
+      counts.push_back(FramePool::cached(n));
+    }
+    return counts;
+  };
+  // The largest pooled class still caches...
+  const std::vector<std::size_t> before = snapshot();
+  FramePool::deallocate(FramePool::allocate(kLargest), kLargest);
+  EXPECT_EQ(FramePool::cached(kLargest), before.back() + 1);
+  // ...one byte more goes straight back to the allocator.
+  const std::vector<std::size_t> pooled = snapshot();
+  FramePool::deallocate(FramePool::allocate(kLargest + 1), kLargest + 1);
+  FramePool::deallocate(FramePool::allocate(64 * 1024), 64 * 1024);
+  EXPECT_EQ(snapshot(), pooled);
+  EXPECT_EQ(FramePool::cached(kLargest + 1), 0u);
 }
 
 // ------------------------------------------------------------ processes ----

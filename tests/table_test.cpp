@@ -351,10 +351,10 @@ TEST(TableTimingTest, LargeEntitiesDegradeUnderConcurrency) {
         auto tbl =
             t.account.create_cloud_table_client().get_table_reference("t");
         for (int k = 0; k < 20; ++k) {
-          co_await azure::with_retry(t.sim, [&] {
-            return tbl.insert(make_entity("w" + std::to_string(id),
-                                          "r" + std::to_string(k), size));
-          });
+          const std::string pk = "w" + std::to_string(id);
+          const std::string rk = "r" + std::to_string(k);
+          co_await azure::with_retry(
+              t.sim, [&] { return tbl.insert(make_entity(pk, rk, size)); });
         }
         g.done();
       }(w, wg, i, entity_size));
