@@ -132,4 +132,12 @@ BENCHMARK(BM_GateBroadcast)->Arg(1'000);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  // Initialize consumes the --benchmark_* flags; anything left is a usage
+  // error, exit 2 like every other bench binary (BENCHMARK_MAIN exits 1).
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

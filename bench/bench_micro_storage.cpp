@@ -110,4 +110,12 @@ BENCHMARK(BM_TableInsertQuery);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  // Initialize consumes the --benchmark_* flags; anything left is a usage
+  // error, exit 2 like every other bench binary (BENCHMARK_MAIN exits 1).
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,15 +1,16 @@
-// Generic scenario driver: interprets a declarative spec file
+// Scenario driver: interprets a declarative spec file
 // (framework/scenario.hpp) instead of hard-coding one workload per binary.
+// It is the one front end for the paper figures and for every other
+// workload in scenarios/.
 //
 //   bench_scenario --spec=scenarios/ycsb_a.json
 //   bench_scenario --spec=scenarios/fig4.json --csv
 //   bench_scenario --smoke --selfcheck
 //
-// Figure-mode specs replay a paper figure through the shared
-// benchfig::figN_table builders, so their table output is byte-identical to
-// the legacy fig binary with the same parameters (the `ctest -L scenario`
-// parity tests diff the two). Generic-mode specs run an open-loop
-// LoadEngine workload (scenario_runner.hpp).
+// Figure-mode specs replay a paper figure through the benchfig::figN_table
+// builders (fig_workloads.hpp); `ctest -L parity` checks their tables
+// against the committed CSVs in tests/golden/. Generic-mode specs run an
+// open-loop LoadEngine workload (scenario_runner.hpp).
 //
 // Flags:
 //   --spec=FILE    the scenario spec (required unless --smoke)
@@ -20,7 +21,9 @@
 //   --csv          machine-diffable output: the table(s) only, as CSV
 //   --selfcheck    run twice, fail (exit 1) unless byte-identical —
 //                  including the obs JSON export when --obs is on
-//   --obs, --obs-json=FILE   observability export (bench_util.hpp)
+//   --obs, --obs-json=FILE, --trace   observability export of the first
+//                  run (bench_util.hpp); --trace prints one sample span
+//                  tree, a queue get's where the run has one
 //
 // Exit codes: 0 ok, 1 selfcheck divergence, 2 usage/spec error.
 #include <cstdio>
@@ -107,32 +110,27 @@ benchutil::Table figure_table(const framework::Scenario& sc,
   }
 }
 
-/// One full run: canonical report string plus the obs JSON (empty when no
-/// observer). The selfcheck contract compares both.
+/// One full run: the canonical report string (the selfcheck contract
+/// compares it, plus the observer's JSON) and the tables to print.
 struct RunOutput {
   std::string canonical;
-  std::string obs_json;
   benchutil::Table table;          // figure table or mix table
   benchutil::Table extra{{}};      // generic mode: the load table
   bool has_extra = false;
 };
 
-RunOutput run_once(const framework::Scenario& sc, bool want_obs) {
-  obs::Observer observer;
-  obs::Observer* op = want_obs ? &observer : nullptr;
+RunOutput run_once(const framework::Scenario& sc, obs::Observer* observer) {
   if (sc.figure_mode()) {
-    RunOutput out{.canonical = "", .obs_json = "", .table = figure_table(sc, op)};
+    RunOutput out{.canonical = "", .table = figure_table(sc, observer)};
     out.canonical = "scenario," + sc.name + "\n" + out.table.csv_string();
-    if (want_obs) out.obs_json = observer.to_json();
     return out;
   }
-  const benchscn::ScenarioRunResult r = benchscn::run_generic_scenario(sc, op);
+  const benchscn::ScenarioRunResult r =
+      benchscn::run_generic_scenario(sc, observer);
   RunOutput out{.canonical = benchscn::canonical_report(sc, r),
-                .obs_json = "",
                 .table = benchscn::mix_table(sc, r)};
   out.extra = benchscn::load_table(r);
   out.has_extra = true;
-  if (want_obs) out.obs_json = observer.to_json();
   return out;
 }
 
@@ -213,11 +211,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  const RunOutput out = run_once(sc, obs_flags.enabled);
+  obs::Observer observer;
+  const RunOutput out =
+      run_once(sc, obs_flags.enabled ? &observer : nullptr);
   if (selfcheck) {
-    const RunOutput replay = run_once(sc, obs_flags.enabled);
+    obs::Observer replay_observer;
+    const RunOutput replay =
+        run_once(sc, obs_flags.enabled ? &replay_observer : nullptr);
     if (replay.canonical != out.canonical ||
-        replay.obs_json != out.obs_json) {
+        replay_observer.to_json() != observer.to_json()) {
       std::fprintf(stderr,
                    "selfcheck FAILED: replay of scenario '%s' diverged\n",
                    sc.name.c_str());
@@ -236,9 +238,7 @@ int main(int argc, char** argv) {
                 sc.description.empty() ? "" : " — ",
                 sc.description.c_str());
     if (sc.figure_mode()) {
-      std::printf("figure-replay mode: fig%d (tables shared with the legacy "
-                  "binary)\n\n",
-                  sc.figure->id);
+      std::printf("figure-replay mode: fig%d\n\n", sc.figure->id);
     } else {
       std::printf(
           "generic mode: backend %s, %lld ops, seed %llu, populate %lld per "
@@ -256,17 +256,7 @@ int main(int argc, char** argv) {
     if (selfcheck) std::printf("\nselfcheck: PASS (byte-identical replay)\n");
   }
 
-  // Export from the *first* run's observer state is gone by now (scoped in
-  // run_once), so re-run the export path only via the flags contract:
-  if (obs_flags.enabled && !obs_flags.json_path.empty()) {
-    std::FILE* f = std::fopen(obs_flags.json_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", obs_flags.json_path.c_str());
-      return 2;
-    }
-    std::fwrite(out.obs_json.data(), 1, out.obs_json.size(), f);
-    std::fclose(f);
-    std::printf("obs: wrote %s\n", obs_flags.json_path.c_str());
-  }
+  if (!benchutil::finish_obs(obs_flags, observer)) return 2;
+  if (obs_flags.trace) benchutil::print_obs_trace(observer, "queue.get");
   return 0;
 }

@@ -1,6 +1,6 @@
-// Shared helpers for the figure-reproduction benchmark binaries: a tiny
-// flag parser, fixed-width table / CSV emitters, and the observability
-// exporters (`--obs` / `--obs-json=` / `--trace`) shared by fig4–fig9.
+// Shared helpers for the benchmark binaries: a tiny flag parser,
+// fixed-width table / CSV emitters, and the observability exporters
+// (`--obs` / `--obs-json=` / `--trace`) of bench_scenario.
 #pragma once
 
 #include <algorithm>
@@ -187,19 +187,6 @@ inline bool flag_set(int argc, char** argv, const char* name) {
   return false;
 }
 
-/// Worker-count sweep: the paper scales "up to 100 processors". An explicit
-/// `--workers=N` must be positive — an earlier version treated `--workers=0`
-/// (and, via atoll, `--workers=abc`) as "not set" and silently ran the full
-/// ten-point sweep instead of the point the user asked for.
-inline std::vector<int> worker_sweep(int argc, char** argv) {
-  if (const std::int64_t w = flag_int(argc, argv, "--workers", 0, 1, 100'000);
-      w > 0) {
-    return {static_cast<int>(w)};
-  }
-  if (flag_set(argc, argv, "--quick")) return {1, 4, 16, 48, 96};
-  return {1, 2, 4, 8, 16, 32, 48, 64, 80, 96};
-}
-
 /// Fixed-width table row printing.
 class Table {
  public:
@@ -264,18 +251,18 @@ inline std::string fmt(double v, int decimals = 2) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability wiring shared by the figure binaries. All of it is opt-in:
-// with none of the flags below, no Observer is constructed and every
+// Observability wiring for bench_scenario. All of it is opt-in:
+// with none of the flags below, no Observer is attached and every
 // instrumentation point in the simulator stays inert, so paper-mode outputs
 // are byte-identical to an unobserved build.
 // ---------------------------------------------------------------------------
 
-/// Observability flags common to fig4–fig9:
+/// Observability flags:
 ///   --obs              print per-layer / per-operation latency breakdowns
 ///   --obs-json=FILE    dump the full Observer JSON (metrics + histograms +
 ///                      span ring) to FILE ("-" = stdout)
-///   --trace            (where supported) also print one sample request's
-///                      span tree — implies --obs
+///   --trace            also print one sample request's span tree — implies
+///                      --obs
 struct ObsFlags {
   bool enabled = false;
   bool trace = false;
@@ -401,25 +388,27 @@ inline void print_obs_trace(const obs::Observer& o,
 
 /// End-of-run export: breakdown tables on stdout, plus the full JSON dump
 /// when `--obs-json=` was given. Call once, after the sweep completes.
-inline void finish_obs(const ObsFlags& flags, const obs::Observer& o) {
-  if (!flags.enabled) return;
+/// Returns false when the JSON file cannot be written.
+inline bool finish_obs(const ObsFlags& flags, const obs::Observer& o) {
+  if (!flags.enabled) return true;
   print_obs_layers(o);
   print_obs_ops(o);
-  if (flags.json_path.empty()) return;
+  if (flags.json_path.empty()) return true;
   const std::string json = o.to_json();
   if (flags.json_path == "-") {
     std::printf("%s\n", json.c_str());
-    return;
+    return true;
   }
   if (std::FILE* f = std::fopen(flags.json_path.c_str(), "w")) {
     std::fwrite(json.data(), 1, json.size(), f);
     std::fputc('\n', f);
     std::fclose(f);
     std::printf("\nObserver JSON written to %s\n", flags.json_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot open %s for writing\n",
-                 flags.json_path.c_str());
+    return true;
   }
+  std::fprintf(stderr, "cannot open %s for writing\n",
+               flags.json_path.c_str());
+  return false;
 }
 
 }  // namespace benchutil

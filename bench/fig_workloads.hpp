@@ -1,15 +1,9 @@
 // The six figure workloads (fig4–fig9) as reusable table builders.
 //
-// Each figure used to live only inside its bench binary's main(); the
-// scenario driver (bench_scenario.cpp) needs the same workloads as data, so
-// the table-building loops moved here verbatim. Two callers share each
-// function — the legacy binary (flags → Options) and the scenario
-// interpreter (spec file → Options) — which is what makes the byte-identity
-// guarantee structural: both render the figure through the same code path,
-// so a spec with the same parameters *cannot* drift from the binary.
-//
-// The functions build exactly the table the binary prints; banners, paper
-// reference prose, and sharded-kernel side paths stay in the binaries.
+// bench_scenario renders a figure-mode spec (scenarios/figN.json) through
+// these functions, and perfbench times fig6 through them. Each function
+// builds exactly the CSV table that tests/golden/ pins for its figure, so
+// a change here that moves a figure's numbers fails `ctest -L parity`.
 #pragma once
 
 #include <cstdint>
@@ -24,11 +18,10 @@
 
 namespace benchfig {
 
-/// The paper's default ten-point worker sweep and its --quick subset.
+/// The paper's default ten-point worker sweep.
 inline std::vector<int> default_worker_sweep() {
   return {1, 2, 4, 8, 16, 32, 48, 64, 80, 96};
 }
-inline std::vector<int> quick_worker_sweep() { return {1, 4, 16, 48, 96}; }
 
 // ------------------------------------------------------------------ fig4 ----
 

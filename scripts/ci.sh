@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: builds the Release and ASan+UBSan configurations and runs
-# the full test suite under both. Usage: scripts/ci.sh [jobs]
+# the test suite once under each (all of it in Release, all but the
+# full-scale `parity` goldens under ASan+UBSan). Usage: scripts/ci.sh [jobs]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -14,59 +15,24 @@ run_config() {
   echo "=== build ${dir} ==="
   cmake --build "${dir}" -j "${JOBS}"
   echo "=== test ${dir} ==="
-  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
-  # The chaos suite (fault injection over the paper workloads) runs again
-  # explicitly by label so a regression in it is loud and attributable.
-  # Every chaos test carries a 60 s wall-clock budget (TIMEOUT property).
-  echo "=== chaos ${dir} ==="
-  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L chaos
-  # The observability suite likewise re-runs by label: its byte-identical
-  # replay contract must hold in the sanitizer configuration too (ASan
-  # changes allocation patterns, which the obs layer must be immune to).
-  echo "=== obs ${dir} ==="
-  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L obs
-  # The partition-map / load-balancer suite re-runs by label for the same
-  # reason, and the balancer benchmark's smoke run proves the binary drives
-  # an actual rebalance end-to-end in this configuration.
-  echo "=== partition ${dir} ==="
-  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L partition
-  "${dir}/bench/bench_ext_partition_lb" --smoke
-  # The open-loop load suite re-runs by label (arrival statistics, admission
-  # window, session-pool lifecycle), and the saturation bench's smoke run
-  # proves the binary produces a byte-identical sweep (--selfcheck runs the
-  # populations twice and compares) in this configuration.
-  echo "=== load ${dir} ==="
-  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L load
-  "${dir}/bench/bench_ext_load" --smoke --selfcheck
-  # The geo-replication suite re-runs by label (bounded-staleness shipping,
-  # the region-failover drill, cross-stamp reconciliation), and the drill
-  # benchmark's smoke run proves an end-to-end region-loss drill in this
-  # configuration: byte-identical replay (--selfcheck) plus the built-in
-  # RPO bound (staleness-at-failover <= the provisioned target).
-  echo "=== geo ${dir} ==="
-  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L geo
-  "${dir}/bench/bench_ext_geo" --smoke --selfcheck
-  # The scenario suite re-runs by label (DSL diagnostics, generator KATs,
-  # flag-parsing regressions, byte-identical driver replays), and the
-  # generic driver's smoke run proves end-to-end replay determinism in this
-  # configuration. The full-paper-scale fig-parity checks (label `parity`)
-  # are excluded in the sanitizer lap — they re-run every legacy figure
-  # under ASan for minutes without adding coverage the Release lap lacks.
-  echo "=== scenario ${dir} ==="
+  # Every test runs once per configuration. The full-paper-scale golden
+  # checks (label `parity`) are excluded in the sanitizer lap: they re-run
+  # every paper figure under ASan for minutes, and the quick-scale goldens
+  # (label `scenario`) cover the same code there.
   if [[ "${dir}" == *sanitize* ]]; then
-    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-      -L scenario -LE parity
+    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -LE parity
   else
-    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L scenario
+    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
   fi
+  # End-to-end smoke runs of the extension and scenario binaries: the
+  # balancer bench drives an actual rebalance; the load, geo and scenario
+  # runs replay twice and byte-compare (--selfcheck), and the geo drill
+  # also checks its RPO bound (staleness-at-failover <= the target).
+  echo "=== smoke ${dir} ==="
+  "${dir}/bench/bench_ext_partition_lb" --smoke
+  "${dir}/bench/bench_ext_load" --smoke --selfcheck
+  "${dir}/bench/bench_ext_geo" --smoke --selfcheck
   "${dir}/bench/bench_scenario" --smoke --selfcheck
-  # The driver suite re-runs by label: backend conformance (the same op
-  # contract asserted against azure, s3, and tiered), the S3 throttling /
-  # visibility-lag semantics, and the cross-backend scenario packs'
-  # byte-identical --selfcheck replays. Coroutine-heavy code over three
-  # driver implementations — exactly what the sanitizer lap exists for.
-  echo "=== driver ${dir} ==="
-  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L driver
 }
 
 # A missing clang-tidy fails the run: a gate that silently skips would pass

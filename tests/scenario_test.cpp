@@ -157,6 +157,19 @@ TEST(ScenarioParser, RejectsUnknownFigureId) {
                "scenario.figure.id", "unknown figure");
 }
 
+TEST(ScenarioParser, RejectsFigureWorkersOutsideOneTo100000) {
+  // A zero, missing or non-numeric worker count must not fall back to the
+  // default sweep or run zero work.
+  const auto spec = [](const std::string& workers) {
+    return R"({"name":"x","figure":{"id":"fig6","workers":)" + workers +
+           "}}";
+  };
+  expect_error(spec("[0]"), "scenario.figure.workers", "[1, 100000]");
+  expect_error(spec("[100001]"), "scenario.figure.workers", "[1, 100000]");
+  expect_error(spec("[]"), "scenario.figure.workers", "non-empty array");
+  expect_error(spec(R"(["a"])"), "scenario.figure.workers", "[1, 100000]");
+}
+
 TEST(ScenarioParser, RejectsQueuePayloadAboveMessageCap) {
   expect_error(R"({"name":"x","values":{"bytes":65536},)"
                R"("mix":[{"service":"queue","op":"put"}]})",
@@ -480,15 +493,6 @@ TEST(FlagParsingDeathTest, FlagIntExitsWithUsageErrorOnGarbage) {
   char** argv = make_argv(args);
   EXPECT_EXIT((void)benchutil::flag_int(2, argv, "--workers", 4, 1, 100),
               ::testing::ExitedWithCode(2), "usage error: --workers=abc");
-}
-
-TEST(FlagParsingDeathTest, WorkerSweepRejectsNonPositiveWorkers) {
-  // Pre-fix: --workers=0 (or =abc -> 0) produced an empty/zero sweep that
-  // benches silently interpreted as "default sweep" or ran zero work.
-  std::vector<std::string> args = {"prog", "--workers=0"};
-  char** argv = make_argv(args);
-  EXPECT_EXIT((void)benchutil::worker_sweep(2, argv),
-              ::testing::ExitedWithCode(2), "usage error: --workers=0");
 }
 
 TEST(FlagParsing, UnknownFlagNamesTheFirstUndeclaredToken) {
